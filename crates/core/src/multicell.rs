@@ -852,7 +852,7 @@ impl MultiGrid {
         let owner = std::mem::replace(&mut src.owners[m.slot.0], SlotOwner::Vacant);
         let flushed = if rlf {
             m.rlfs += 1;
-            mu.flush()
+            mu.flush(now)
         } else {
             m.handovers += 1;
             // The RLC context dies with the source cell: a packet caught

@@ -22,6 +22,9 @@
 //! * [`buffer`] — the UE firmware (modem) buffer with RLC-style byte
 //!   segmentation.
 //! * [`scheduler`] — the eNodeB proportional-fair uplink grant model.
+//! * `access` — one UE's firmware buffer, BSR delay pipeline, TBS
+//!   accounting, diag port and RRC re-establishment, shared by [`uplink`]
+//!   and the foreground UEs of [`cell`].
 //! * [`uplink`] — the composed per-subframe uplink: channel + scheduler +
 //!   buffer + HARQ.
 //! * [`diag`] — the 40 ms diagnostic report stream.
@@ -33,6 +36,7 @@
 //!   mobility, path-loss radio map with neighbor interference, and A3
 //!   handover.
 
+mod access;
 pub mod buffer;
 pub mod cell;
 pub mod channel;
