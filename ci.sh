@@ -44,6 +44,12 @@ cargo build --examples
 banner "tests"
 cargo test -q --workspace
 
+banner "benchmark self-checks"
+# perfbench/ is its own [workspace], so `cargo test --workspace` never
+# compiles it: without this step an lte/core API change could break the
+# benchmark unseen.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 banner "smoke bench (JSON output)"
 cargo run --release -p poi360-bench --bin reproduce -- --smoke
 

@@ -179,7 +179,7 @@ pub fn run_protocol(cfg: &ArenaConfig) -> ArenaProtocol {
     let seconds = cfg.seconds;
     let seed = cfg.seed;
     let results = crate::runner::run_jobs(jobs, move |(k, cell, leg)| {
-        let sink = crate::study::stamped_sink(seed);
+        let sink = crate::runner::stamped_sink(seed);
         let handle: SinkHandle = sink.clone();
         let score = match leg {
             Leg::Quality => {
@@ -236,7 +236,7 @@ pub fn run_protocol(cfg: &ArenaConfig) -> ArenaProtocol {
             }
         };
         drop(handle);
-        (k, score, crate::study::finish_sink(sink))
+        (k, score, crate::runner::finish_sink(sink))
     });
 
     let mut rows: Vec<LeagueRow> = cells

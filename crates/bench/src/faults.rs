@@ -17,9 +17,9 @@ use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
 use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::series::TimeSeries;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
+use poi360_sim::trace::SinkHandle;
 use poi360_sim::Recorder;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Recovery-invariant verdicts for one `scenario x rate-control` run.
 ///
@@ -260,16 +260,13 @@ pub fn run_suite(
         }
     }
     let results = crate::runner::run_jobs(jobs, |(fs, rc)| {
-        let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-        sink.lock().unwrap().stamp(&RunMeta::current(seed));
+        let sink = crate::runner::stamped_sink(seed);
         let handle: SinkHandle = sink.clone();
         let src = format!("{}.{}", fs.name, rc.label());
         let recorder = Recorder::to_sink(Arc::clone(&handle), &src);
         let outcome = run_case(&fs, rc, seconds, seed, recorder);
         drop(handle);
-        sink.lock().unwrap().flush();
-        let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-        (outcome, sink.into_inner().unwrap().into_inner())
+        (outcome, crate::runner::finish_sink(sink))
     });
     let mut outcomes = Vec::with_capacity(results.len());
     let mut bytes = Vec::new();

@@ -17,8 +17,6 @@ use poi360_core::multicell::{MultiGrid, MultiGridConfig, MultiGridReport};
 use poi360_lte::grid::MobilityKind;
 use poi360_lte::scenario::MobilityScenario;
 use poi360_sim::time::SimDuration;
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
-use std::sync::{Arc, Mutex};
 
 /// Recommended run length for the named mobility scenarios: a 500 m
 /// inter-site convoy at 20 m/s crosses its first cell boundary by
@@ -189,13 +187,9 @@ pub fn run_case(
     scale: &MobilityScale,
     seed: u64,
 ) -> (MobilityOutcome, Vec<u8>) {
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    sink.lock().unwrap().stamp(&RunMeta::current(seed));
-    let handle: SinkHandle = sink.clone();
-    let report = MultiGrid::traced(grid_config(ms, scale, seed), handle).run();
-    sink.lock().unwrap().flush();
-    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-    let bytes = sink.into_inner().unwrap().into_inner();
+    let sink = crate::runner::stamped_sink(seed);
+    let report = MultiGrid::traced(grid_config(ms, scale, seed), sink.clone()).run();
+    let bytes = crate::runner::finish_sink(sink);
     let verdict = judge(ms, &report);
     (MobilityOutcome { scenario: ms.name, what: ms.what, report, verdict }, bytes)
 }

@@ -15,7 +15,9 @@ use poi360_core::report::{Aggregate, SessionReport};
 use poi360_core::session::Session;
 use poi360_sim::json::{FromKv, KvMap};
 use poi360_sim::time::SimDuration;
+use poi360_sim::trace::{JsonlSink, RunMeta, TraceSink};
 use poi360_viewport::motion::UserArchetype;
+use std::sync::{Arc, Mutex};
 
 /// Global experiment scaling.
 #[derive(Clone, Copy, Debug)]
@@ -137,6 +139,22 @@ pub fn run_jobs<I: Send, O: Send>(jobs: Vec<I>, f: impl Fn(I) -> O + Sync) -> Ve
     let mut results = results_mutex.into_inner().expect("results poisoned");
     results.sort_by_key(|&(idx, _)| idx);
     results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// An in-memory JSONL sink for one job's probe stream, stamped with the
+/// run's [`RunMeta`] so every job's bytes start with the same header.
+pub(crate) fn stamped_sink(seed: u64) -> Arc<Mutex<JsonlSink<Vec<u8>>>> {
+    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
+    sink.lock().expect("fresh sink").stamp(&RunMeta::current(seed));
+    sink
+}
+
+/// Flush a [`stamped_sink`] and take its bytes. Every trace handle cloned
+/// from it must already be dropped.
+pub(crate) fn finish_sink(sink: Arc<Mutex<JsonlSink<Vec<u8>>>>) -> Vec<u8> {
+    sink.lock().expect("sink poisoned").flush();
+    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
+    sink.into_inner().expect("sink poisoned").into_inner()
 }
 
 /// Deterministic per-session seed from experiment base seed, user index,

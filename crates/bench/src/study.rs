@@ -15,6 +15,7 @@
 //! verbatim by the CLI and the golden test that pins the
 //! `cc_matrix --smoke` report.
 
+use crate::runner::{finish_sink, stamped_sink};
 use poi360_analyse::chrome;
 use poi360_analyse::ingest::RunTrace;
 use poi360_analyse::report::{self, CaseTrace};
@@ -22,9 +23,9 @@ use poi360_analyse::study::{StudyCase, StudyConfig, StudyFamily, BASELINE_SCENAR
 use poi360_core::config::RateControlKind;
 use poi360_lte::scenario::{FaultScenario, MobilityScenario, Scenario};
 use poi360_sim::fault::FaultPlan;
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
+use poi360_sim::trace::SinkHandle;
 use poi360_sim::Recorder;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Map a study controller label onto the typed rate-control kind. The
 /// labels were validated at config parse, so this is total.
@@ -76,18 +77,6 @@ pub struct ExecutedCase {
     pub bytes: Vec<u8>,
     /// Per-flow delivery gaps, ms (empty for fault cases).
     pub gaps_ms: Vec<f64>,
-}
-
-pub(crate) fn stamped_sink(seed: u64) -> Arc<Mutex<JsonlSink<Vec<u8>>>> {
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    sink.lock().unwrap().stamp(&RunMeta::current(seed));
-    sink
-}
-
-pub(crate) fn finish_sink(sink: Arc<Mutex<JsonlSink<Vec<u8>>>>) -> Vec<u8> {
-    sink.lock().unwrap().flush();
-    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-    sink.into_inner().unwrap().into_inner()
 }
 
 /// Run every case of the (already smoke-adjusted) config through the

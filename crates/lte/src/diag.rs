@@ -77,11 +77,6 @@ impl DiagInterface {
         }
     }
 
-    /// Report period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
     /// Record one subframe; returns a full report when the epoch closes.
     pub fn record(&mut self, sample: DiagSample) -> Option<DiagReport> {
         self.pending.push(sample);

@@ -140,20 +140,6 @@ impl PfScheduler {
         .clamp(0.0, self.cfg.max_prbs as f64);
         tbs::bits_per_prb(cqi) * share * (1.0 - self.cfg.harq_fail_prob)
     }
-
-    /// Reference to the share-jitter-free rate ceiling at a given smooth
-    /// efficiency (for tests).
-    pub fn nominal_cap_bits_eff(&self, eff: f64, load_frac: f64) -> f64 {
-        if eff <= 0.0 {
-            return 0.0;
-        }
-        let pf_boost = (tbs::cqi_efficiency(tbs::MAX_CQI) / eff).sqrt();
-        let share = (self.cfg.ue_base_prbs
-            * pf_boost
-            * (1.0 - self.cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
-        .clamp(0.0, self.cfg.max_prbs as f64);
-        eff * tbs::DATA_RE_PER_PRB * share * (1.0 - self.cfg.harq_fail_prob)
-    }
 }
 
 #[cfg(test)]
