@@ -60,9 +60,28 @@ banner "trace smoke (probe JSONL export)"
 cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
 test -s bench_results/trace_smoke.jsonl
 
-banner "fault-injection smoke (recovery invariants, FBCC vs GCC)"
-cargo run --release -p poi360-bench --bin reproduce -- faults --smoke >/dev/null
-test -s bench_results/faults_smoke.jsonl
+banner "study presets at smoke scale (verdicts + byte identity across worker widths)"
+# Every preset exits nonzero on a violated invariant. The width must come
+# from the environment, not --threads: the RunMeta stamp records argv, so
+# differing flags would (correctly) differ in the artifact bytes.
+# POI360_THREADS drives both the worker pool *and* the grid's
+# epoch-lockstep shard width (they share one resolution in bench::runner),
+# so the mobility pair is also the end-to-end proof that sharded cell
+# stepping cannot reach the artifact bytes.
+mkdir -p target/ci
+for preset in cc_matrix faults mobility arena; do
+    stem="study_${preset}_smoke"
+    cargo run --release -p poi360-bench --bin reproduce -- study "$preset" --smoke >/dev/null
+    test -s "bench_results/$stem.jsonl"
+    test -s "bench_results/${stem}_trace.json"
+    for width in 1 4; do
+        POI360_THREADS=$width POI360_BENCH_DIR="target/ci/${preset}_w$width" \
+            cargo run --release -p poi360-bench --bin reproduce -- study "$preset" --smoke >/dev/null
+    done
+    cmp "target/ci/${preset}_w1/$stem.jsonl" "target/ci/${preset}_w4/$stem.jsonl"
+    cmp "target/ci/${preset}_w1/$stem.txt" "target/ci/${preset}_w4/$stem.txt"
+    echo "ok: $preset artifacts byte-identical at widths 1 and 4"
+done
 
 banner "fault + handover regression suite, 3-seed matrix"
 # tests/faults.rs also carries the handover packet-conservation
@@ -71,63 +90,12 @@ for seed in 1 2 3; do
     POI360_FAULT_SEED=$seed cargo test -q --release --test faults
 done
 
-banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-seed matrix)"
-cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-test -s bench_results/mobility_smoke.jsonl
-
-banner "perf gate (per-layer medians vs pinned baseline + zero-alloc steady state)"
-cargo run --release -p poi360-bench --bin reproduce -- perf --smoke --compare bench_results/perf_baseline.json
-
-banner "study smoke (cc_matrix: 2 controllers x 3 scenarios x 3 seeds + report)"
-cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
-test -s bench_results/study_cc_matrix_smoke.jsonl
-test -s bench_results/study_cc_matrix_smoke_trace.json
-
-banner "study byte-identity across worker-pool widths"
-# The width must come from the environment, not --threads: the RunMeta
-# stamp records argv, so differing flags would (correctly) differ in the
-# artifact bytes.
-mkdir -p target/ci
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/study_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/study_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
-cmp target/ci/study_w1/study_cc_matrix_smoke.jsonl target/ci/study_w4/study_cc_matrix_smoke.jsonl
-cmp target/ci/study_w1/study_cc_matrix_smoke.txt target/ci/study_w4/study_cc_matrix_smoke.txt
-echo "ok: study artifact byte-identical at widths 1 and 4"
-
-banner "arena smoke (3 controllers x 3 tilings: quality scores + fault verdicts)"
-# Exits nonzero if any cell violates a fault-suite recovery invariant.
-cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-test -s bench_results/arena_smoke.jsonl
-test -s bench_results/arena_smoke.txt
-
-banner "arena byte-identity across worker-pool widths"
-# Same env-not-flags rule as the study gate: the RunMeta stamp records
-# argv, so the width must come from POI360_THREADS.
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/arena_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/arena_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-cmp target/ci/arena_w1/arena_smoke.jsonl target/ci/arena_w4/arena_smoke.jsonl
-cmp target/ci/arena_w1/arena_smoke.txt target/ci/arena_w4/arena_smoke.txt
-echo "ok: arena artifact byte-identical at widths 1 and 4"
-
-banner "mobility byte-identity across shard widths"
-# Same env-not-flags rule as the study gate. POI360_THREADS drives both
-# the worker pool *and* the grid's epoch-lockstep shard width (they share
-# one resolution in bench::runner), so this is the end-to-end proof that
-# sharded cell stepping cannot reach the artifact bytes.
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/mobility_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/mobility_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-cmp target/ci/mobility_w1/mobility_smoke.jsonl target/ci/mobility_w4/mobility_smoke.jsonl
-cmp target/ci/mobility_w1/mobility_smoke.txt target/ci/mobility_w4/mobility_smoke.txt
-echo "ok: mobility artifact byte-identical at shard widths 1 and 4"
-
 banner "ingest sweep: every generated JSONL artifact re-parses"
 cargo test -q --release -p poi360-analyse --test roundtrip
+
+banner "perf gate (per-layer medians vs pinned baseline + zero-alloc steady state)"
+# Timing-sensitive, so it runs after every host-independent gate.
+cargo run --release -p poi360-bench --bin reproduce -- perf --smoke --compare bench_results/perf_baseline.json
 
 banner "cell-scale micro-benchmark"
 cargo bench -p poi360-bench --bench cell_scale

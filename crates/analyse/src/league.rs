@@ -1,9 +1,9 @@
 //! League-table rendering for the controller × tiling arena.
 //!
-//! `bench::arena` runs the tournament and reduces every cell to one
-//! [`LeagueRow`]; this module owns the presentation so the report stays a
-//! pure fold over plain data (the crate's determinism contract). Layout
-//! rules the golden test leans on:
+//! The arena study (`bench::study`) runs the tournament and its judge
+//! reduces every cell to one [`LeagueRow`]; this module owns the
+//! presentation so the report stays a pure fold over plain data (the
+//! crate's determinism contract). Layout rules the golden test leans on:
 //!
 //! * the league table lists cells in *fixed input order* (the arena's
 //!   controller-major expansion), never sorted by a measured quantity —

@@ -2,7 +2,7 @@
 //! JSONL that the instrumentation plane (`poi360_sim::trace`) streams.
 //!
 //! The trace plane answers "what happened inside one run"; this crate
-//! answers "how do runs compare". It has four layers:
+//! answers "how do runs compare". It has five layers:
 //!
 //! * [`ingest`] — parse probe/fault/perf/mobility JSONL artifacts (and
 //!   their leading [`poi360_sim::trace::RunMeta`] stamps) into typed
@@ -15,12 +15,14 @@
 //!   with configurable drift thresholds, and Chrome `trace_event` JSON
 //!   for flame-style inspection of subframe timing.
 //! * [`study`] — the declarative layer: a [`study::StudyConfig`]
-//!   (scenarios × rate controllers × seeds, parsed from `key=value`
-//!   text) expands to a deterministic case list. Execution lives in
-//!   `poi360-bench` (`bench::study`), which fans the cases out over its
-//!   scoped-thread pool and feeds the traces back into this crate;
-//!   keeping this crate free of session-driving code is what lets
-//!   `poi360-bench` depend on it without a cycle.
+//!   (one family's scenarios × controllers × tilings × seeds, parsed
+//!   from `key=value` text) expands to a deterministic case list.
+//!   Execution, judging and the family sections of the report live in
+//!   `poi360-bench` (`bench::study`, the one experiment engine), which
+//!   fans the cases out over its worker pool and feeds the traces back
+//!   into this crate; keeping this crate free of session-driving code is
+//!   what lets `poi360-bench` depend on it without a cycle.
+//! * [`league`] — the arena family's league table.
 //!
 //! Determinism contract: every function here is a pure fold over its
 //! inputs — no clocks, no randomness, no filesystem side effects (file

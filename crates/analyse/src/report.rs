@@ -1,16 +1,19 @@
-//! Cross-run report rendering: the study tables, A-vs-B deltas, and
-//! the handover-gap tails, all through the shared
-//! [`poi360_metrics::table::Table`] renderer.
+//! Cross-run report rendering: the study header, the probe tables
+//! (per-probe distributions, per-source rollups, controller A-vs-B
+//! deltas), the baseline drift gate, and the gate line, all through the
+//! shared [`poi360_metrics::table::Table`] renderer. The family's own
+//! section (verdicts, per-flow ledgers, the league table) is rendered
+//! by `bench::study` and spliced in by [`study_report`].
 //!
 //! The rendered text is a golden artifact (`tests/golden.rs` pins the
-//! `cc_matrix --smoke` report), so it deliberately contains nothing
-//! that varies across checkouts: no paths, and no commit hashes outside
-//! the explicitly requested `--baseline` section.
+//! `cc_matrix`, `mobility` and `arena` smoke reports), so it
+//! deliberately contains nothing that varies across checkouts: no
+//! paths, and no commit hashes outside the explicitly requested
+//! `--baseline` section.
 
 use crate::aggregate::{src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
-use crate::study::{StudyConfig, StudyFamily};
-use poi360_metrics::dist::percentile;
+use crate::study::{StudyCase, StudyConfig, StudyFamily};
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
 
@@ -18,17 +21,10 @@ use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
 /// `bench::study` (which owns the session-driving side).
 #[derive(Clone, Debug)]
 pub struct CaseTrace {
-    /// Scenario preset name.
-    pub scenario: String,
-    /// Controller label (`None` for mobility cases).
-    pub rc: Option<String>,
-    /// Seed the case ran at.
-    pub seed: u64,
+    /// The case descriptor from [`StudyConfig::cases`].
+    pub case: StudyCase,
     /// The parsed probe stream.
     pub trace: RunTrace,
-    /// Per-flow delivery gaps (ms) — mobility report data that lives in
-    /// `MultiGridReport`, not in probes; empty for fault cases.
-    pub gaps_ms: Vec<f64>,
 }
 
 /// A rendered study report.
@@ -141,45 +137,50 @@ fn delta_rows(t: &mut Table, rows: &[Delta], flag_word: &str) -> usize {
     flagged
 }
 
-fn group_label(rc: &Option<String>) -> String {
-    rc.clone().unwrap_or_else(|| "-".into())
+fn group_label(rc: &Option<String>, tiling: &Option<String>) -> String {
+    let rc = rc.clone().unwrap_or_else(|| "-".into());
+    match tiling {
+        Some(t) => format!("{rc}/{t}"),
+        None => rc,
+    }
 }
 
-/// Render the full study report from the executed cases.
-///
-/// `baseline` is a previously written study JSONL artifact (the
-/// concatenated per-case streams): the report then appends a
-/// commit-vs-commit drift section whose flagged rows count as failures.
-pub fn study_report(
-    cfg: &StudyConfig,
-    cases: &[CaseTrace],
-    baseline: Option<&RunTrace>,
-) -> StudyReport {
-    let mut text = String::new();
-    let mut warnings: Vec<String> = Vec::new();
-    let mut failures = 0usize;
-
-    let groups = cfg.groups();
-    text.push_str(&format!(
-        "Study `{}` — family {}, {} scenarios x {} controllers x {} seeds = {} cases, {}s each\n\n",
+/// The study header line: name, family, and matrix shape.
+fn header(cfg: &StudyConfig, cases: usize) -> String {
+    let scenarios = match cfg.family {
+        StudyFamily::Arena => format!("(quality + {} scenarios)", cfg.scenarios.len()),
+        _ => format!("{} scenarios", cfg.scenarios.len()),
+    };
+    let tilings = match cfg.tilings.len() {
+        0 => String::new(),
+        n => format!(" x {n} tilings"),
+    };
+    format!(
+        "Study `{}` — family {}, {scenarios} x {} controllers{tilings} x {} seeds = {cases} cases, {}s each\n\n",
         cfg.name,
         cfg.family.as_str(),
-        cfg.scenarios.len(),
-        if cfg.family == StudyFamily::Fault { cfg.controllers.len() } else { 1 },
+        cfg.controllers.len().max(1),
         cfg.seeds,
-        cases.len(),
         cfg.seconds,
-    ));
+    )
+}
 
-    // Pool each scenario x controller group across its seeds.
-    type GroupPool<'a> = ((String, Option<String>), Pool, Vec<&'a CaseTrace>);
-    let mut group_pools: Vec<GroupPool> = groups
-        .iter()
-        .map(|(scenario, rc)| ((scenario.clone(), rc.clone()), Pool::new(), Vec::new()))
-        .collect();
+/// Render the probe tables of a fault or mobility study: per-probe
+/// distributions and per-source rollups pooled across seeds per matrix
+/// cell, plus the informational controller A-vs-B deltas when the
+/// study races two or more controllers.
+pub fn probe_tables(cfg: &StudyConfig, cases: &[CaseTrace]) -> String {
+    let mut text = String::new();
+
+    // Pool each scenario x controller x tiling cell across its seeds.
+    type GroupPool<'a> = ((String, Option<String>, Option<String>), Pool, Vec<&'a CaseTrace>);
+    let mut group_pools: Vec<GroupPool> =
+        cfg.groups().into_iter().map(|key| (key, Pool::new(), Vec::new())).collect();
     for case in cases {
-        if let Some((_, pool, members)) =
-            group_pools.iter_mut().find(|((s, rc), _, _)| *s == case.scenario && *rc == case.rc)
+        let c = &case.case;
+        if let Some((_, pool, members)) = group_pools
+            .iter_mut()
+            .find(|((s, rc, t), _, _)| *s == c.scenario && *rc == c.rc && *t == c.tiling)
         {
             pool.add(&case.trace);
             members.push(case);
@@ -191,11 +192,11 @@ pub fn study_report(
         "Per-probe distributions (pooled across seeds)",
         &["scenario", "ctl", "probe", "kind", "samples", "median", "p95", "p99"],
     );
-    for ((scenario, rc), pool, _) in &group_pools {
+    for ((scenario, rc, tiling), pool, _) in &group_pools {
         for s in pool.stats() {
             probe_table.row(vec![
                 scenario.clone(),
-                group_label(rc),
+                group_label(rc, tiling),
                 s.name.clone(),
                 s.kind.as_str().into(),
                 s.samples.to_string(),
@@ -213,12 +214,12 @@ pub fn study_report(
         "Per-source rollup (pooled across seeds)",
         &["scenario", "ctl", "src", "records", "probes", "span_s"],
     );
-    for ((scenario, rc), _, members) in &group_pools {
+    for ((scenario, rc, tiling), _, members) in &group_pools {
         for s in src_rollup(members.iter().map(|c| &c.trace)) {
             let span = (s.last_t_us.saturating_sub(s.first_t_us)) as f64 / 1e6;
             rollup.row(vec![
                 scenario.clone(),
-                group_label(rc),
+                group_label(rc, tiling),
                 s.src,
                 s.records.to_string(),
                 s.probes.to_string(),
@@ -229,61 +230,68 @@ pub fn study_report(
     text.push_str(&rollup.render());
     text.push('\n');
 
-    // Controller A-vs-B per scenario (informational: drift marks, no
-    // failures — the controllers are *supposed* to differ).
-    if cfg.family == StudyFamily::Fault && cfg.controllers.len() >= 2 {
+    // Controller A-vs-B per scenario (and tiling): informational drift
+    // marks, no failures — the controllers are *supposed* to differ.
+    if cfg.controllers.len() >= 2 {
         let (a_rc, b_rc) = (&cfg.controllers[0], &cfg.controllers[1]);
+        let tilings: Vec<Option<&String>> = match cfg.tilings.len() {
+            0 => vec![None],
+            _ => cfg.tilings.iter().map(Some).collect(),
+        };
         for scenario in &cfg.scenarios {
-            let stats_of = |rc: &str| {
-                group_pools
-                    .iter()
-                    .find(|((s, r), _, _)| s == scenario && r.as_deref() == Some(rc))
-                    .map(|(_, pool, _)| pool.stats())
-                    .unwrap_or_default()
-            };
-            let rows = deltas(&stats_of(a_rc), &stats_of(b_rc), cfg.threshold, false);
-            let mut t = Table::new(
-                format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(cfg.threshold)),
-                &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
-            );
-            delta_rows(&mut t, &rows, "drift");
-            text.push_str(&t.render());
-            text.push('\n');
+            for tiling in &tilings {
+                let stats_of = |rc: &str| {
+                    group_pools
+                        .iter()
+                        .find(|((s, r, t), _, _)| {
+                            s == scenario && r.as_deref() == Some(rc) && t.as_ref() == *tiling
+                        })
+                        .map(|(_, pool, _)| pool.stats())
+                        .unwrap_or_default()
+                };
+                let rows = deltas(&stats_of(a_rc), &stats_of(b_rc), cfg.threshold, false);
+                let cell = match tiling {
+                    Some(t) => format!("{scenario}/{t}"),
+                    None => scenario.clone(),
+                };
+                let mut t = Table::new(
+                    format!("{cell}: {a_rc} vs {b_rc} (medians, drift > {})", pct(cfg.threshold)),
+                    &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
+                );
+                delta_rows(&mut t, &rows, "drift");
+                text.push_str(&t.render());
+                text.push('\n');
+            }
         }
     }
+    text
+}
 
-    // Handover-gap tails (mobility data carried outside the probes).
-    if cases.iter().any(|c| !c.gaps_ms.is_empty()) {
-        let mut t = Table::new(
-            "Delivery-gap tails across handovers (ms, pooled across seeds)",
-            &["scenario", "gaps", "p50", "p95", "p99", "max"],
-        );
-        for scenario in &cfg.scenarios {
-            let gaps: Vec<f64> = cases
-                .iter()
-                .filter(|c| c.scenario == *scenario)
-                .flat_map(|c| c.gaps_ms.iter().copied())
-                .filter(|g| g.is_finite())
-                .collect();
-            let q = |p: f64| percentile(&gaps, p).map_or("n/a".into(), |v| fnum(v, 1));
-            let max = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            t.row(vec![
-                scenario.clone(),
-                gaps.len().to_string(),
-                q(0.50),
-                q(0.95),
-                q(0.99),
-                if gaps.is_empty() { "n/a".into() } else { fnum(max, 1) },
-            ]);
-        }
-        text.push_str(&t.render());
-        text.push('\n');
-    }
+/// Render the full study report around a family's `body` (the probe
+/// tables and/or the family judge's section): header, body, the
+/// baseline drift gate, provenance warnings, and the gate line.
+/// `verdict_failures` are the family judge's violated invariants; they
+/// count toward the gate alongside baseline drift.
+///
+/// `baseline` is a previously written study JSONL artifact (the
+/// concatenated per-case streams): the report then appends a
+/// commit-vs-commit drift section whose flagged rows count as failures.
+pub fn study_report(
+    cfg: &StudyConfig,
+    cases: &[CaseTrace],
+    body: &str,
+    verdict_failures: usize,
+    baseline: Option<&RunTrace>,
+) -> StudyReport {
+    let mut text = header(cfg, cases.len());
+    text.push_str(body);
+    let mut warnings: Vec<String> = Vec::new();
+    let mut failures = verdict_failures;
 
     // Provenance warnings across the fresh cases.
     for case in cases {
         for w in case.trace.meta_warnings() {
-            warnings.push(format!("case {}: {w}", case_label(case)));
+            warnings.push(format!("case {}: {w}", case.case.label));
         }
     }
     let mut commits: Vec<&str> =
@@ -336,13 +344,6 @@ pub fn study_report(
     StudyReport { text, failures, warnings }
 }
 
-fn case_label(case: &CaseTrace) -> String {
-    match &case.rc {
-        Some(rc) => format!("{}.{}.s{}", case.scenario, rc, case.seed),
-        None => format!("{}.s{}", case.scenario, case.seed),
-    }
-}
-
 fn bm_schema_mismatch(base: &RunTrace) -> bool {
     base.metas.iter().any(|m| m.schema != TRACE_SCHEMA_VERSION)
 }
@@ -391,22 +392,23 @@ mod tests {
             )
         };
         let case = |v: f64| CaseTrace {
-            scenario: "baseline".into(),
-            rc: Some("fbcc".into()),
-            seed: 1,
+            case: cfg.cases().remove(0),
             trace: RunTrace::parse_str(&jsonl(v)).unwrap(),
-            gaps_ms: vec![],
         };
         let drifted_base = RunTrace::parse_str(&jsonl(100.0)).unwrap();
-        let rep = study_report(&cfg, &[case(200.0)], Some(&drifted_base));
+        let rep = study_report(&cfg, &[case(200.0)], "", 0, Some(&drifted_base));
         assert!(rep.failures >= 1, "100%% drift beyond 25%% threshold fails");
         assert!(rep.text.contains("REGRESSION"));
         let same_base = RunTrace::parse_str(&jsonl(200.0)).unwrap();
-        let rep = study_report(&cfg, &[case(200.0)], Some(&same_base));
+        let rep = study_report(&cfg, &[case(200.0)], "", 0, Some(&same_base));
         assert_eq!(rep.failures, 0);
-        let rep = study_report(&cfg, &[case(200.0)], None);
+        let rep = study_report(&cfg, &[case(200.0)], "", 0, None);
         assert_eq!(rep.failures, 0, "no baseline, no gate");
         assert!(rep.text.contains("study gate: 0 failure(s)"));
+        let rep = study_report(&cfg, &[case(200.0)], "verdicts\n", 2, None);
+        assert_eq!(rep.failures, 2, "family verdict failures count toward the gate");
+        assert!(rep.text.contains("verdicts\n"), "{}", rep.text);
+        assert!(rep.text.contains("study gate: 2 failure(s)"), "{}", rep.text);
     }
 
     #[test]

@@ -84,8 +84,8 @@ fn jsonl_roundtrip_preserves_every_record() {
 /// the analyse layer may never fall behind the probe plane's output
 /// format. The artifacts are generated (gitignored), so a fresh clone
 /// has none and the test passes vacuously; `ci.sh` re-runs this test
-/// after the trace/faults/mobility/perf/study smokes have written
-/// theirs, which is where it bites.
+/// after the trace smoke and the study presets have written theirs,
+/// which is where it bites.
 #[test]
 fn every_jsonl_artifact_on_disk_parses() {
     let Ok(entries) = std::fs::read_dir(poi360_testkit::results_dir()) else { return };

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Subcommands: `fig5 fig6 table1 fig11 fig12 fig13 fig14 fig15 fig16
-//! fig17 coexist ablation trace all` (`--list` enumerates them). Flags:
+//! fig17 coexist ablation trace perf study all` (`--list` enumerates them). Flags:
 //! `--full` (paper scale: 300 s × 10 repeats), `--seconds N`,
 //! `--repeats N`, `--seed N`. Output also lands in
 //! `bench_results/<name>.txt` at the workspace root, regardless of the
@@ -21,25 +21,6 @@
 //! a probe-count summary table. `trace --smoke` is the CI entry point: a
 //! 5 s busy-cell run emitting `bench_results/trace_smoke.jsonl`.
 //!
-//! `faults` runs the named fault-injection scenarios (radio link failure,
-//! diag stall, grant starvation, feedback blackout, wireline spike, flash
-//! crowd, and a stacked combination) under both FBCC and GCC, checks the
-//! recovery invariants, runs the whole batch twice and asserts the JSONL
-//! trace streams are byte-identical, and writes
-//! `bench_results/faults[_smoke].jsonl` plus a verdict table. Any violated
-//! invariant makes the process exit nonzero, so CI can gate on it.
-//!
-//! `mobility` drives telephony sessions across a hex grid of cells
-//! (ground mobility, inter-cell interference, A3 handover with firmware
-//! buffers migrating between cells), judges the handover invariants —
-//! every convoy flow hands over, exact packet conservation across every
-//! migration, no video reordering, bounded delivery gaps — proves the
-//! JSONL probe stream byte-identical across reruns and worker-pool
-//! widths, runs a 3-seed matrix, and writes
-//! `bench_results/mobility[_smoke].jsonl` plus a per-flow table. Any
-//! violated invariant exits nonzero. Presets come from the shared
-//! scenario registry (`convoy` by default; `--list` shows the rest).
-//!
 //! `perf` profiles one layer of the subframe pipeline at a time (cell,
 //! uplink, transport, video, session, plus the sharded-grid `grid_scale`
 //! matrix at 19/61/127 cells × shard widths 1/2/4/8), prints medians
@@ -49,15 +30,21 @@
 //! Results in `bench_results/perf.json` / `perf_probes.jsonl` (the full
 //! gated window) / `perf_trace.json` (Chrome trace of that window).
 //!
-//! `study` runs a declarative scenario × rate-controller × seed matrix
-//! (a checked-in preset like `cc_matrix` / `ho_tails`, or a `.study`
-//! config file) through the worker pool and renders the cross-run
-//! aggregation: per-probe median/p95/p99 tables, per-source rollups,
-//! controller A-vs-B deltas, handover-gap tails, and a Chrome trace of
-//! the first case. `--baseline <dir>` diffs the fresh medians against a
-//! previously written study artifact and fails on drift beyond the
-//! study's threshold. Artifacts: `bench_results/study_<name>[_smoke]
-//! .{txt,jsonl,trace.json}`.
+//! `study` is the one experiment engine. It runs a declarative
+//! scenario × controller × tiling × seed matrix of one family (a
+//! checked-in preset, or a `.study` config file) through the worker
+//! pool, judges every case, and renders one report. The presets
+//! (`--list` shows them): `faults` (every fault preset × {FBCC, GCC,
+//! OCC}, recovery verdicts), `cc_matrix` (FBCC vs GCC probe
+//! distributions and A-vs-B deltas), `mobility` (convoy handover
+//! invariants and per-flow conservation ledger), `ho_tails` (handover
+//! delivery-gap tails), and `arena` (controller × tiling league: a
+//! shared-cell quality leg plus fault legs per pairing). `--smoke`
+//! compresses every run for CI; `--baseline <dir>` diffs the fresh
+//! medians against a previously written study artifact and fails on
+//! drift beyond the study's threshold. Any violated invariant or drift
+//! exits nonzero. Artifacts: `bench_results/study_<name>[_smoke]
+//! .{txt,jsonl}` plus `…_trace.json` (Chrome trace of the first case).
 //!
 //! Every subcommand accepts `--threads N` to pin the worker-pool width
 //! (otherwise `POI360_THREADS`, otherwise all cores).
@@ -91,11 +78,8 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
     ("coexist", "FBCC/GCC flows sharing one cell"),
     ("ablation", "prediction, mode, policy, and edge-relay ablations"),
     ("trace", "probe-stream JSONL export for one scenario (see --help text)"),
-    ("faults", "fault-injection robustness suite, FBCC vs GCC (see --help text)"),
-    ("mobility", "hex-grid A3 handover suite: conservation + gap invariants (see --help text)"),
     ("perf", "per-layer hot-path profile + allocation gate (see --help text)"),
-    ("study", "declarative scenario x controller x seed matrix + cross-run report"),
-    ("arena", "controller x tiling tournament: quality scores + fault verdicts + league table"),
+    ("study", "run a study preset or .study file: fault, mobility, or arena matrix + report"),
     ("all", "every figure and table above"),
     ("list", "print this subcommand list (also --list)"),
     ("smoke", "quick JSON bench + aggregate sanity run (also --smoke)"),
@@ -106,13 +90,10 @@ fn list() {
     for (name, what) in SUBCOMMANDS {
         println!("  {name:<10} {what}");
     }
-    println!(
-        "\nnamed presets (reproduce faults|mobility|study <name>; arena --controllers/--policies):"
-    );
+    println!("\nnamed presets (scenarios, controllers and tilings go in a .study file):");
     let presets = poi360_lte::scenario::preset_registry()
         .into_iter()
-        .chain(poi360_analyse::study::registry())
-        .chain(poi360_bench::arena::registry());
+        .chain(poi360_analyse::study::registry());
     for p in presets {
         println!("  {:<9} {:<12} {}", p.family, p.name, p.what);
     }
@@ -129,11 +110,8 @@ fn usage() -> ! {
         "usage: reproduce <fig5|fig6|table1|fig11|fig12|fig13|fig14|fig15|fig16|fig17|coexist|ablation|all> \
          [--full] [--seconds N] [--repeats N] [--seed N] [--exp k=v,...]\n\
          \x20      reproduce trace [busy|baseline|quiet|coexist] [--seconds N] [--seed N] [--smoke]\n\
-         \x20      reproduce faults [scenario] [--seconds N] [--seed N] [--smoke]\n\
-         \x20      reproduce mobility [scenario] [--seconds N] [--seed N] [--smoke]\n\
          \x20      reproduce perf [--smoke] [--compare <baseline.json>]\n\
          \x20      reproduce study <preset|config-file> [--smoke] [--baseline <dir>]\n\
-         \x20      reproduce arena [--smoke] [--seconds N] [--seed N] [--controllers a+b] [--policies x+y]\n\
          \x20      reproduce --list    (enumerate subcommands)\n\
          \x20      reproduce --smoke   (quick JSON bench + aggregate sanity run)\n\
          \x20      any subcommand also accepts --threads N (worker-pool width;\n\
@@ -296,182 +274,10 @@ fn trace(args: &[String]) -> usize {
     failures
 }
 
-/// `reproduce faults [scenario]` — run the named fault-injection presets
-/// under both FBCC and GCC, judge the recovery invariants, and prove the
-/// whole batch byte-identical across a rerun. Returns the number of
-/// failed invariants (plus one if the rerun diverged).
-fn faults(args: &[String]) -> usize {
-    use poi360_bench::faults as fi;
-    use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
-    use poi360_metrics::table::Table;
-
-    let mut seconds: u64 = FAULT_RUN_SECS;
-    let mut seed: u64 = 1;
-    let mut smoke = false;
-    let mut which: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: the whole fault timeline compressed 4x.
-                smoke = true;
-                seconds = 6;
-            }
-            "--seconds" => {
-                seconds = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            name if !name.starts_with('-') => which = Some(name.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-
-    let scenarios: Vec<FaultScenario> = match &which {
-        Some(name) => match FaultScenario::by_name(name) {
-            Some(fs) => vec![fs],
-            None => {
-                eprintln!("{}", poi360_lte::scenario::unknown_preset_error("fault", name));
-                std::process::exit(2);
-            }
-        },
-        None => FaultScenario::all(),
-    };
-
-    eprintln!(
-        "# fault suite: {} scenarios x {{FBCC, GCC}}, {seconds}s each, seed {seed}, run twice",
-        scenarios.len()
-    );
-    let (outcomes, bytes) = fi::run_suite(&scenarios, seconds, seed);
-    let (_, rerun) = fi::run_suite(&scenarios, seconds, seed);
-    let deterministic = bytes == rerun;
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = if smoke { "faults_smoke" } else { "faults" };
-    let path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&path, &bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-
-    let mut failures = 0;
-    let mut t = Table::new(
-        format!("Fault robustness — {seconds}s runs, seed {seed}"),
-        &["Scenario", "RC", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
-    );
-    for o in &outcomes {
-        let v = &o.verdict;
-        let verdict = if v.pass() {
-            "pass".to_string()
-        } else {
-            failures += 1;
-            format!("FAIL: {}", v.failures().join(","))
-        };
-        t.row(vec![
-            o.scenario.to_string(),
-            o.rc.label().to_string(),
-            format!("{:.2}", v.pre_rate_bps / 1e6),
-            format!("{:.2}", v.post_rate_bps / 1e6),
-            format!("{:.1}", v.freeze_ratio * 100.0),
-            format!("{:.0}", v.tail_buffer_bytes / 1e3),
-            verdict,
-        ]);
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "trace determinism: {}\n",
-        if deterministic { "byte-identical across reruns" } else { "FAIL: reruns differ" }
-    ));
-    if !deterministic {
-        failures += 1;
-    }
-    out.push_str(&format!("{} JSONL bytes -> {}\n", bytes.len(), path.display()));
-    println!("{out}");
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(out.as_bytes());
-    }
-    failures
-}
-
-/// `reproduce mobility [scenario]` — drive sessions across the hex
-/// grid, judge the handover invariants, prove the probe stream
-/// thread-count invariant, and run a 3-seed matrix. Returns the number
-/// of failures.
-fn mobility(args: &[String]) -> usize {
-    use poi360_bench::mobility as mo;
-    use poi360_lte::scenario::{unknown_preset_error, MobilityScenario};
-
-    let mut scale = mo::MobilityScale::full();
-    let mut seed: u64 = 1;
-    let mut smoke = false;
-    let mut which: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: compressed lattice, same invariants.
-                smoke = true;
-                scale = mo::MobilityScale::smoke();
-            }
-            "--seconds" => {
-                scale.seconds =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            name if !name.starts_with('-') => which = Some(name.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    let name = which.unwrap_or_else(|| "convoy".to_string());
-    let Some(ms) = MobilityScenario::by_name(&name) else {
-        eprintln!("{}", unknown_preset_error("mobility", &name));
-        std::process::exit(2);
-    };
-
-    eprintln!(
-        "# mobility `{}`: {}s, {} flows + {} load UEs, seed {seed}; thread-invariance pair + 3-seed matrix",
-        ms.name, scale.seconds, scale.flows, scale.load_ues
-    );
-    let protocol = mo::run_protocol(&ms, &scale, seed);
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = match (smoke, name.as_str()) {
-        (true, "convoy") => "mobility_smoke".to_string(),
-        (true, other) => format!("mobility_{other}_smoke"),
-        (false, other) => format!("mobility_{other}"),
-    };
-    let path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&path, &protocol.bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-
-    // The .txt artifact is exactly the protocol text — the golden test
-    // regenerates and pins it — so the path line (which varies by
-    // checkout) goes to stdout only.
-    println!("{}", protocol.text);
-    println!("{} JSONL bytes -> {}", protocol.bytes.len(), path.display());
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(protocol.text.as_bytes());
-    }
-    protocol.failures
-}
-
-/// `reproduce study <preset|config-file>` — run a declarative
-/// scenario × controller × seed matrix through the worker pool and
-/// render the cross-run aggregation. Returns the number of gate
-/// failures (baseline drift beyond the study's threshold).
+/// `reproduce study <preset|config-file>` — run a declarative study
+/// through the experiment engine and render its report. Returns the
+/// number of gate failures (violated invariants plus baseline drift
+/// beyond the study's threshold).
 fn study(args: &[String]) -> usize {
     use poi360_analyse::study::{by_name, unknown_study_error, StudyConfig};
     use poi360_bench::study as st;
@@ -554,95 +360,11 @@ fn study(args: &[String]) -> usize {
         std::process::exit(1);
     });
 
-    // Like mobility: the .txt artifact is exactly the protocol text (the
-    // golden test pins the smoke variant), path lines go to stdout only.
+    // The .txt artifact is exactly the protocol text (the golden tests
+    // pin the smoke variants), so path lines go to stdout only.
     println!("{}", protocol.text);
     println!("{} JSONL bytes -> {}", protocol.jsonl.len(), jsonl_path.display());
     println!("chrome trace -> {}", chrome_path.display());
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(protocol.text.as_bytes());
-    }
-    protocol.failures
-}
-
-/// `reproduce arena [--smoke] [--seconds N] [--seed N]
-/// [--controllers a+b] [--policies x+y]` — the controller × tiling
-/// tournament. Returns the number of violated fault invariants.
-fn arena(args: &[String]) -> usize {
-    use poi360_bench::arena as ar;
-
-    let mut cfg = ar::ArenaConfig::full();
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: full 3x3 matrix, compressed legs.
-                let seed = cfg.seed;
-                cfg = ar::ArenaConfig { seed, ..ar::ArenaConfig::smoke() };
-                smoke = true;
-            }
-            "--seconds" => {
-                cfg.seconds =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                cfg.seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--controllers" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.controllers = spec
-                    .split('+')
-                    .map(|name| {
-                        ar::controller_by_name(name).unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--policies" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.policies = spec
-                    .split('+')
-                    .map(|name| {
-                        ar::policy_by_name(name).unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-
-    eprintln!(
-        "# arena: {} controllers x {} policies, {}s legs, {} fault presets, seed {}",
-        cfg.controllers.len(),
-        cfg.policies.len(),
-        cfg.seconds,
-        cfg.fault_scenarios.len(),
-        cfg.seed
-    );
-    let protocol = ar::run_protocol(&cfg);
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = if smoke { "arena_smoke" } else { "arena" };
-    let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&jsonl_path, &protocol.jsonl).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", jsonl_path.display());
-        std::process::exit(1);
-    });
-
-    // Like study: the .txt artifact is exactly the protocol text (the
-    // golden test pins the smoke variant), path lines go to stdout only.
-    println!("{}", protocol.text);
-    println!("{} JSONL bytes -> {}", protocol.jsonl.len(), jsonl_path.display());
     if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
         let _ = f.write_all(protocol.text.as_bytes());
     }
@@ -700,18 +422,6 @@ fn main() {
         }
         return;
     }
-    if what == "faults" {
-        if faults(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "mobility" {
-        if mobility(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
     if what == "perf" {
         if perf(&args[1..]) > 0 {
             std::process::exit(1);
@@ -720,12 +430,6 @@ fn main() {
     }
     if what == "study" {
         if study(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "arena" {
-        if arena(&args[1..]) > 0 {
             std::process::exit(1);
         }
         return;

@@ -4,7 +4,6 @@
 //! the `reproduce` binary wraps them in a CLI. See DESIGN.md §3 for the
 //! experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 
-pub mod arena;
 pub mod experiments;
 pub mod faults;
 pub mod mobility;

@@ -1,9 +1,12 @@
 //! Golden-output tests: re-run the Table 1 and Fig. 5/6 generators at
-//! the default fixed-seed configuration and assert the headline numbers
-//! match the checked-in `bench_results/{table1,fig5,fig6}.txt` within
-//! tolerance. Regenerate the files with
-//! `cargo run --release -p poi360-bench --bin reproduce -- <name>` after
-//! an intentional calibration change.
+//! the default fixed-seed configuration, plus the `cc_matrix`, `arena`
+//! and `mobility` study presets at smoke scale, and assert the numbers
+//! match the checked-in `bench_results/{table1,fig5,fig6}.txt` and
+//! `bench_results/study_<preset>_smoke.txt` within tolerance. After an
+//! intentional calibration change, regenerate a figure with
+//! `cargo run --release -p poi360-bench --bin reproduce -- <name>` and a
+//! study with
+//! `cargo run --release -p poi360-bench --bin reproduce -- study <preset> --smoke`.
 
 use poi360_bench::experiments as exp;
 use poi360_bench::runner::ExpConfig;
@@ -68,41 +71,37 @@ fn fig6_matches_golden() {
     assert_rows_match("fig6", &fresh, &golden("fig6"));
 }
 
-/// The `reproduce study cc_matrix --smoke` report (2 controllers × 3
-/// scenarios × 3 seeds at CI scale) must match the checked-in per-probe
-/// distribution tables, rollups, and controller deltas. Regenerate with
-/// `cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke`.
+/// Run a checked-in study preset at smoke scale through the experiment
+/// engine, require every verdict to hold, and compare the report to
+/// `bench_results/study_<preset>_smoke.txt`.
+fn assert_study_matches_golden(preset: &str) {
+    let cfg = poi360_analyse::study::by_name(preset).expect("preset exists");
+    let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
+    assert_eq!(protocol.failures, 0, "smoke {preset} must pass:\n{}", protocol.text);
+    let name = format!("study_{preset}_smoke");
+    assert_rows_match(&name, &protocol.text, &golden(&name));
+}
+
+/// The `cc_matrix` smoke report (2 controllers × 3 scenarios × 3 seeds)
+/// must match the checked-in per-probe distribution tables, rollups,
+/// controller deltas, and recovery verdicts.
 #[test]
 fn study_cc_matrix_smoke_matches_golden() {
-    let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
-    let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
-    assert_eq!(protocol.failures, 0, "smoke study must pass without a baseline");
-    assert_rows_match("study_cc_matrix_smoke", &protocol.text, &golden("study_cc_matrix_smoke"));
+    assert_study_matches_golden("cc_matrix");
 }
 
-/// The `reproduce arena --smoke` league table at the default seed must
-/// match the checked-in quality scores, and every fault verdict must
-/// hold (the gate is part of the protocol, so a verdict regression fails
-/// here before it fails in CI). Regenerate with
-/// `cargo run --release -p poi360-bench --bin reproduce -- arena --smoke`.
+/// The `arena` smoke league table at the default seed must match the
+/// checked-in quality scores, and every fault verdict must hold (so a
+/// verdict regression fails here before it fails in CI).
 #[test]
 fn arena_smoke_matches_golden() {
-    let cfg = poi360_bench::arena::ArenaConfig::smoke();
-    let protocol = poi360_bench::arena::run_protocol(&cfg);
-    assert_eq!(protocol.failures, 0, "smoke arena must hold every fault invariant");
-    assert_rows_match("arena_smoke", &protocol.text, &golden("arena_smoke"));
+    assert_study_matches_golden("arena");
 }
 
-/// The `reproduce mobility --smoke` convoy table at the default seed
-/// must match the checked-in handover counts, conservation ledger, and
-/// PSNR-across-handover numbers. Regenerate with
-/// `cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke`.
+/// The `mobility` smoke report must match the checked-in per-flow
+/// handover counts, conservation ledger, PSNR-across-handover numbers,
+/// and delivery-gap tails, with every seed's invariants holding.
 #[test]
 fn mobility_smoke_matches_golden() {
-    use poi360_bench::mobility as mo;
-    use poi360_lte::scenario::MobilityScenario;
-    let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-    let protocol = mo::run_protocol(&ms, &mo::MobilityScale::smoke(), 1);
-    assert_eq!(protocol.failures, 0, "smoke protocol must pass its own invariants");
-    assert_rows_match("mobility_smoke", &protocol.text, &golden("mobility_smoke"));
+    assert_study_matches_golden("mobility");
 }
