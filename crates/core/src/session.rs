@@ -668,6 +668,7 @@ impl Session {
             self.recorder.gauge("video.roi_psnr_db", now, STALE_PSNR_DB);
             self.feedback.send(FeedbackMsg::Pli, now);
         }
+        self.debug_check_frame_ledger();
 
         // REMB.
         if let Some(remb) = self.gcc_rx.poll_remb(now) {
@@ -695,6 +696,23 @@ impl Session {
             self.next_roi_feedback_at = now + self.cfg.encoder.frame_interval();
             self.feedback
                 .send(FeedbackMsg::RoiAndM { roi: *client_roi, m: self.monitor.average() }, now);
+        }
+    }
+
+    /// Frame ledger of the receive path, checked every subframe in
+    /// builds with `debug_assertions`: a frame is delivered or abandoned
+    /// at most once, so together they never exceed the frames encoded.
+    fn debug_check_frame_ledger(&self) {
+        if cfg!(debug_assertions) {
+            let rec = &self.recorder;
+            let sent = rec.counter("video.frame_encoded");
+            let delivered = rec.counter("video.frame_delivered");
+            let lost = rec.counter("video.frame_abandoned");
+            assert!(
+                delivered + lost <= sent,
+                "transport reassembler at t={}: delivered {delivered} + lost {lost} > sent {sent}",
+                self.now
+            );
         }
     }
 

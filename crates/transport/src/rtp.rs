@@ -145,6 +145,7 @@ impl Reassembler {
     /// Accept a video packet; returns the frame if this completed it.
     pub fn on_packet(&mut self, pkt: &Packet, arrival: SimTime) -> Option<ReassembledFrame> {
         let tag = pkt.frame.expect("reassembler only accepts video packets");
+        let fresh = !pkt.retransmit && self.highest_seq.is_none_or(|hi| pkt.seq > hi);
 
         // Gap detection on the sequence stream (retransmissions exempt).
         if !pkt.retransmit {
@@ -168,6 +169,12 @@ impl Reassembler {
         }
         // A packet (retransmitted or late) clears its missing record.
         let was_missing = self.missing.remove(&pkt.seq).is_some();
+        // A late duplicate or retransmission for a frame that already
+        // completed or was abandoned: re-opening the frame would count it
+        // delivered *and* (once it times out) lost.
+        if !fresh && !was_missing && !self.partial.contains_key(&tag.frame_no) {
+            return None;
+        }
 
         let entry = self.partial.entry(tag.frame_no).or_insert_with(|| PartialFrame {
             tag_count: tag.count,
@@ -367,6 +374,27 @@ mod tests {
         rs.on_packet(&pkts[0], SimTime::from_millis(2));
         let f = rs.on_packet(&pkts[1], SimTime::from_millis(3)).expect("completes");
         assert_eq!(f.bytes, pkts[0].bytes + pkts[1].bytes);
+    }
+
+    #[test]
+    fn late_duplicate_of_a_finished_frame_does_not_reopen_it() {
+        let mut pz = Packetizer::new();
+        let mut rs = reasm();
+        let a = pz.packetize(0, 2_000, SimTime::ZERO);
+        let b = pz.packetize(1, 2_000, SimTime::from_millis(28));
+        rs.on_packet(&a[0], SimTime::from_millis(1));
+        assert!(rs.on_packet(&a[1], SimTime::from_millis(2)).is_some());
+        // Frame 1 times out with one packet received.
+        rs.on_packet(&b[0], SimTime::from_millis(30));
+        assert_eq!(rs.poll_abandoned(SimTime::from_millis(1_100)), vec![1]);
+        // Late copies of both frames arrive: a duplicated original of the
+        // completed frame and a retransmission for the abandoned one.
+        assert!(rs.on_packet(&a[0], SimTime::from_millis(1_200)).is_none());
+        let mut retx = b[1].clone();
+        retx.retransmit = true;
+        assert!(rs.on_packet(&retx, SimTime::from_millis(1_201)).is_none());
+        assert!(rs.poll_abandoned(SimTime::from_millis(5_000)).is_empty(), "nothing re-opened");
+        assert_eq!((rs.completed(), rs.abandoned()), (1, 1), "each frame counted once");
     }
 
     #[test]
