@@ -228,7 +228,7 @@ pub const FAULT_RUN_SECS: u64 = 24;
 
 /// A named robustness condition: a field [`Scenario`] plus a [`FaultPlan`]
 /// injected into it. These presets are the vocabulary shared by
-/// `tests/faults.rs`, `reproduce faults`, and EXPERIMENTS.md — each models
+/// `tests/faults.rs`, the fault and arena studies, and EXPERIMENTS.md — each models
 /// one §4.3-style way the uplink actually breaks.
 #[derive(Clone, Debug)]
 pub struct FaultScenario {
@@ -328,7 +328,7 @@ impl FaultScenario {
 
 /// A named hex-grid mobility condition: trajectory family, speed,
 /// lattice geometry, and handover tuning. These presets are the
-/// vocabulary shared by `reproduce mobility`, the handover tests, and
+/// vocabulary shared by the mobility studies, the handover tests, and
 /// EXPERIMENTS.md — the grid driver in `poi360-core` materializes them
 /// into a full run configuration.
 #[derive(Clone, Debug)]
